@@ -283,11 +283,11 @@ def run_serve_benchmark(levels=DEFAULT_LEVELS, *, duration_s: float = 3.0,
         raise ServiceError(f"invalid concurrency levels {levels!r}")
     if duration_s <= 0 or mtp_s <= 0:
         raise ServiceError("duration and MTP must be positive")
+    started = time.monotonic()
     payload = asyncio.run(_run_benchmark(
         levels, duration_s, mtp_s, shards, scheme, window_s, deadline_s,
         max_inflight, conns_per_shard, timeout, connect, progress))
-    t = time.time()
-    payload["wall_time_s"] = t
+    payload["wall_time_s"] = time.monotonic() - started
     bad = [row for row in payload["levels"] if row["unanswered"] > 0]
     if bad:
         raise ServiceError(

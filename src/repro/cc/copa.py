@@ -11,8 +11,7 @@ implementation reproduces the mechanism with the same default thresholds.
 
 from __future__ import annotations
 
-from collections import deque
-
+from .windowed import WindowedMin
 from ..netsim.stats import MtpStats
 from .base import CongestionController, Decision, register
 
@@ -28,12 +27,12 @@ class Copa(CongestionController):
     def __init__(self, mtp_s: float = 0.030, enable_mode_switch: bool = True):
         super().__init__(mtp_s)
         self._mode_switch = enable_mode_switch
+        self.rtt_floor = WindowedMin(10.0)
         self.reset()
 
     def reset(self) -> None:
         self.cwnd = self.initial_cwnd
-        self._rtt_min = float("inf")
-        self._rtt_min_window: deque[tuple[float, float]] = deque()
+        self.rtt_floor.reset()
         self._velocity = 1.0
         self._direction = 0
         self._same_direction_count = 0
@@ -43,24 +42,17 @@ class Copa(CongestionController):
     def interval_s(self, srtt_s: float) -> float:
         return max(srtt_s / 2.0, self.mtp_s)
 
-    def _update_rtt_min(self, now: float, rtt: float) -> None:
-        self._rtt_min_window.append((now, rtt))
-        horizon = now - 10.0
-        while self._rtt_min_window and self._rtt_min_window[0][0] < horizon:
-            self._rtt_min_window.popleft()
-        self._rtt_min = min(r for _, r in self._rtt_min_window)
-
     def on_interval(self, stats: MtpStats) -> Decision:
         now = stats.time_s
-        self._update_rtt_min(now, stats.min_rtt_s)
+        rtt_min = self.rtt_floor.push(now, stats.min_rtt_s)
         srtt = max(stats.avg_rtt_s, 1e-6)
-        d_q = max(srtt - self._rtt_min, 1e-6)
+        d_q = max(srtt - rtt_min, 1e-6)
 
         # Mode switching: if the queue never drains (delay stays well above
         # base), Copa suspects buffer-fillers and competes harder (smaller
         # effective delta).  Erroneous switches cause rate oscillation.
         if self._mode_switch:
-            nearly_empty = d_q < 0.1 * self._rtt_min + 1e-4
+            nearly_empty = d_q < 0.1 * rtt_min + 1e-4
             if nearly_empty:
                 self._delta = self.DELTA
             else:

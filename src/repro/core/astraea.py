@@ -17,6 +17,7 @@ benchmarks report which backend was used.
 from __future__ import annotations
 
 from ..cc.base import CongestionController, Decision, register
+from ..cc.windowed import WindowedMin
 from ..config import ACTION_ALPHA, HISTORY_LENGTH, MTP_S
 from ..netsim.stats import MtpStats
 from .action import apply_action, pacing_from_cwnd
@@ -68,6 +69,7 @@ class AstraeaController(CongestionController):
 
             self._fallback = AstraeaReference(mtp_s=mtp_s, alpha=self.alpha)
         self.state_block = LocalStateBlock(history=history)
+        self.rtt_floor = WindowedMin(self.RTT_WINDOW_S)
         self.reset()
 
     @property
@@ -80,19 +82,11 @@ class AstraeaController(CongestionController):
         self.cwnd = self.initial_cwnd
         self._in_slow_start = self.slow_start_enabled
         self._rtt_min = float("inf")
-        self._rtt_samples: list[tuple[float, float]] = []
+        self.rtt_floor.reset()
         self._next_probe_s: float | None = None
         self._drain_left = 0
         if self._fallback is not None:
             self._fallback.reset()
-
-    def _windowed_rtt_min(self, now: float, sample: float) -> float:
-        """Sliding-window minimum RTT for the deployment guards."""
-        self._rtt_samples.append((now, sample))
-        horizon = now - self.RTT_WINDOW_S
-        self._rtt_samples = [(t, r) for t, r in self._rtt_samples
-                             if t >= horizon]
-        return min(r for _, r in self._rtt_samples)
 
     def _guarded(self, action: float, stats: MtpStats) -> float:
         """Deployment guard rails around the raw policy action.
@@ -114,7 +108,7 @@ class AstraeaController(CongestionController):
         """
         if not self.guards_enabled:
             return action
-        rtt_min = self._windowed_rtt_min(stats.time_s, stats.min_rtt_s)
+        rtt_min = self.rtt_floor.push(stats.time_s, stats.min_rtt_s)
         ratio = stats.avg_rtt_s / max(rtt_min, 1e-9)
         if ratio < self.IDLE_RATIO and stats.loss_rate < 0.01:
             return max(action, self.IDLE_ACTION)

@@ -110,7 +110,7 @@ class PolicyBundle:
     def act(self, local_state: np.ndarray) -> float:
         """Greedy action in (-1, 1) for a single stacked local state."""
         out = self.actor.infer(local_state)
-        return float(np.clip(out[0, 0], -0.999, 0.999))
+        return min(max(float(out[0, 0]), -0.999), 0.999)
 
     # ------------------------------------------------------------------
 

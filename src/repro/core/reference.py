@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cc.base import CongestionController, Decision, register
+from ..cc.windowed import WindowedMin
 from ..config import ACTION_ALPHA, MTP_S
 from ..netsim.stats import MtpStats
 from .action import apply_action, pacing_from_cwnd
@@ -64,33 +65,26 @@ class AstraeaReference(CongestionController):
         self.slow_start_enabled = slow_start
         self.target_pkts = target_pkts if target_pkts is not None \
             else self.TARGET_PKTS
+        self.rtt_floor = WindowedMin(self.RTT_WINDOW_S)
         self.reset()
 
     def reset(self) -> None:
         self.cwnd = self.initial_cwnd
-        self._rtt_samples: list[tuple[float, float]] = []
+        self.rtt_floor.reset()
         self._in_slow_start = self.slow_start_enabled
         self._next_probe_s: float | None = None
         self._drain_left = 0
 
     # ------------------------------------------------------------------
 
-    def _rtt_min(self, now: float, sample: float) -> float:
-        """Sliding-window minimum RTT, so stale baselines expire.
-
-        A late joiner never sees an empty queue, so a lifetime minimum would
-        overestimate the base RTT and make it hold extra backlog; periodic
-        drains (below) plus this window keep the estimate honest.
-        """
-        self._rtt_samples.append((now, sample))
-        horizon = now - self.RTT_WINDOW_S
-        self._rtt_samples = [(t, r) for t, r in self._rtt_samples
-                             if t >= horizon]
-        return min(r for _, r in self._rtt_samples)
-
     def _signals(self, stats: MtpStats) -> tuple[float, float, float]:
-        """(rtt_min, rtt, own queued backlog) from the latest MTP."""
-        rtt_min = self._rtt_min(stats.time_s, stats.min_rtt_s)
+        """(rtt_min, rtt, own queued backlog) from the latest MTP.
+
+        ``rtt_min`` is windowed so stale baselines expire: a late joiner
+        never sees an empty queue, so a lifetime minimum would overestimate
+        its base RTT and make it hold extra backlog.
+        """
+        rtt_min = self.rtt_floor.push(stats.time_s, stats.min_rtt_s)
         rtt = max(stats.avg_rtt_s, rtt_min)
         diff = stats.cwnd_pkts * (1.0 - rtt_min / rtt)
         return rtt_min, rtt, diff
@@ -122,9 +116,7 @@ class AstraeaReference(CongestionController):
         called alongside the live controller (the distillation recorder
         does exactly that).
         """
-        horizon = stats.time_s - self.RTT_WINDOW_S
-        samples = [r for t, r in self._rtt_samples if t >= horizon]
-        rtt_min = min(samples + [stats.min_rtt_s])
+        rtt_min = self.rtt_floor.peek(stats.time_s, stats.min_rtt_s)
         rtt = max(stats.avg_rtt_s, rtt_min)
         diff = stats.cwnd_pkts * (1.0 - rtt_min / rtt)
         return self.policy_action(rtt_min, rtt, diff, stats.loss_rate)

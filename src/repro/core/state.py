@@ -41,7 +41,7 @@ def local_feature_vector(stats: MtpStats, thr_max_pps: float,
     thr_max = max(thr_max_pps, 1e-6)
     lat_min = max(lat_min_s, 1e-6)
     bdp_est = max(thr_max * lat_min, 1e-6)
-    features = np.array([
+    features = (
         stats.throughput_pps / thr_max,                       # thr ratio
         pps_to_mbps(thr_max) / _THR_MAX_SCALE_MBPS,           # thr_max (raw)
         stats.avg_rtt_s / lat_min,                            # latency ratio
@@ -50,8 +50,9 @@ def local_feature_vector(stats: MtpStats, thr_max_pps: float,
         stats.loss_pps / thr_max,                             # loss ratio
         stats.pkts_in_flight / max(stats.cwnd_pkts, 1.0),     # inflight ratio
         stats.pacing_pps / thr_max,                           # pacing ratio
-    ])
-    return np.clip(features, 0.0, _RATIO_CLIP)
+    )
+    # Scalar max-then-min is np.clip bit for bit, without numpy scalars.
+    return np.array([min(max(x, 0.0), _RATIO_CLIP) for x in features])
 
 
 class LocalStateBlock:

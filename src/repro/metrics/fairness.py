@@ -2,9 +2,9 @@
 
 Also home to :class:`FairnessAccumulator`, the mergeable
 sufficient-statistics form of the Jain index used by the sharded fleet
-runner: each shard reduces its flows to ``(count, sum, sum of squares,
-capacity)`` and the parent merges those tuples instead of shipping raw
-per-tick traces between processes.
+runner: each shard reduces its flows to ``(count, sum, peak-scaled sum
+of squares, peak, capacity)`` and the parent merges those tuples instead
+of shipping raw per-tick traces between processes.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ class FairnessAccumulator:
     merging in a deterministic order (plain float adds, shard index
     order) makes the aggregate bit-identical for any worker count.
 
+    ``sum_sq`` is ``sum (x / peak)^2`` over the running ``peak``, as in
+    :func:`jain_index`: raw squares of subnormal or huge throughputs
+    would underflow or overflow.  ``merge`` rescales to the larger peak.
+
     ``batches`` counts ``add``/non-empty ``merge`` contributions — one
     per shard in fleet runs — purely for diagnostics.
     """
@@ -56,6 +60,7 @@ class FairnessAccumulator:
     count: int = 0
     total: float = 0.0
     sum_sq: float = 0.0
+    peak: float = 0.0
     capacity: float = 0.0
     batches: int = 0
 
@@ -69,19 +74,22 @@ class FairnessAccumulator:
         if not math.isfinite(capacity) or capacity < 0:
             raise ConfigError(
                 f"capacity must be finite and non-negative, got {capacity!r}")
-        self.count += int(x.size)
-        self.total += float(x.sum())
-        self.sum_sq += float(np.sum(x * x))
-        self.capacity += float(capacity)
-        self.batches += 1
-        return self
+        peak = float(x.max()) if x.size else 0.0
+        scaled = x / peak if peak > 0.0 else x
+        return self.merge(FairnessAccumulator(
+            int(x.size), float(x.sum()), float(np.sum(scaled * scaled)),
+            peak, float(capacity), batches=1))
 
     def merge(self, other: "FairnessAccumulator") -> "FairnessAccumulator":
         """Fold another accumulator in (plain float adds; order matters
         for bit-identical aggregates, so callers merge in shard order)."""
+        peak = max(self.peak, other.peak)
+        if peak > 0.0:
+            self.sum_sq = (self.sum_sq * (self.peak / peak) ** 2
+                           + other.sum_sq * (other.peak / peak) ** 2)
+        self.peak = peak
         self.count += other.count
         self.total += other.total
-        self.sum_sq += other.sum_sq
         self.capacity += other.capacity
         self.batches += other.batches
         return self
@@ -89,15 +97,15 @@ class FairnessAccumulator:
     def jain(self) -> float:
         """Jain index over every flow folded in so far.
 
-        Matches :func:`jain_index` on the concatenated allocation (the
-        index is scale-invariant, so the raw — unnormalized — sums agree
-        with the peak-normalized form for any physical magnitude).
+        Matches :func:`jain_index` on the concatenated allocation (both
+        normalise by the peak).
         """
         if self.count == 0:
             raise ConfigError("jain index of an empty allocation is undefined")
-        if self.sum_sq == 0.0:
+        if self.peak == 0.0:
             return 1.0
-        return float(self.total ** 2 / (self.count * self.sum_sq))
+        return float((self.total / self.peak) ** 2
+                     / (self.count * self.sum_sq))
 
     def utilization(self) -> float:
         """Aggregate throughput over aggregate capacity."""
@@ -109,8 +117,8 @@ class FairnessAccumulator:
     def as_dict(self) -> dict:
         """JSON/pickle-friendly form (inverse of :meth:`from_dict`)."""
         return {"count": self.count, "total": self.total,
-                "sum_sq": self.sum_sq, "capacity": self.capacity,
-                "batches": self.batches}
+                "sum_sq": self.sum_sq, "peak": self.peak,
+                "capacity": self.capacity, "batches": self.batches}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FairnessAccumulator":
@@ -118,6 +126,7 @@ class FairnessAccumulator:
             return cls(count=int(payload["count"]),
                        total=float(payload["total"]),
                        sum_sq=float(payload["sum_sq"]),
+                       peak=float(payload["peak"]),
                        capacity=float(payload["capacity"]),
                        batches=int(payload["batches"]))
         except (KeyError, TypeError, ValueError) as exc:

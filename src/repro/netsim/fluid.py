@@ -38,6 +38,7 @@ suite pins the two paths to per-tick per-flow deltas <= 1e-9.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -321,9 +322,9 @@ class FluidNetwork:
                  pacing_pps: float | None = None) -> None:
         """Apply a controller decision to a flow."""
         flow = self._require(fid)
-        if not np.isfinite(cwnd_pkts):
+        if not math.isfinite(cwnd_pkts):
             raise SimulationError(f"non-finite cwnd for flow {fid}: {cwnd_pkts}")
-        flow.cwnd_pkts = float(np.clip(cwnd_pkts, MIN_CWND_PKTS, 1e9))
+        flow.cwnd_pkts = float(min(max(cwnd_pkts, MIN_CWND_PKTS), 1e9))
         flow.pacing_pps = pacing_pps
         i = self._slot[fid]
         self._cwnd[i] = flow.cwnd_pkts

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -90,9 +92,13 @@ class TestSpawnSmoke:
     levels, assert the ledger balances and the drain is clean."""
 
     def test_small_sweep(self, tmp_path):
+        started = time.monotonic()
         payload = run_serve_benchmark(
             (2, 6), duration_s=0.4, mtp_s=0.020, timeout=30.0)
+        elapsed = time.monotonic() - started
         assert payload["bench"] == "serve"
+        # A duration covering both 0.4 s levels, not an epoch timestamp.
+        assert 2 * 0.4 <= payload["wall_time_s"] <= elapsed
         assert payload["clean_shutdown"] is True
         assert [row["n_flows"] for row in payload["levels"]] == [2, 6]
         for row in payload["levels"]:

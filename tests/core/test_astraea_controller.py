@@ -117,7 +117,7 @@ class TestDeploymentGuards:
 
     def test_bloat_guard_forces_backoff(self):
         ctl = make_controller(slow_start=False, probe_rtt=False)
-        ctl._windowed_rtt_min(0.0, 0.03)
+        ctl.rtt_floor.push(0.0, 0.03)
         before = ctl.cwnd
         d = ctl.on_interval(make_stats(time_s=1.0, avg_rtt_s=0.15,
                                        min_rtt_s=0.15))

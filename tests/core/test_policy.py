@@ -15,6 +15,16 @@ from repro.core.policy import (
 from repro.errors import ModelError
 
 
+class _FixedActor:
+    """Stands in for the MLP: ``infer`` returns one preset output."""
+
+    def __init__(self, value):
+        self.out = np.array([[value]])
+
+    def infer(self, local_state):
+        return self.out
+
+
 class TestBundleRoundtrip:
     def test_save_load(self, tmp_path):
         actor = new_actor(seed=3)
@@ -31,6 +41,16 @@ class TestBundleRoundtrip:
         bundle = PolicyBundle(actor=new_actor(seed=0))
         a = bundle.act(np.zeros(bundle.actor.in_dim))
         assert -1.0 < a < 1.0
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, 0.999, -0.999, 0.9995,
+        -0.9995, 1e300, -1e300, float("inf"), float("-inf"), float("nan")])
+    def test_act_clip_bit_identical_to_numpy(self, value):
+        bundle = PolicyBundle(actor=_FixedActor(value))
+        old = float(np.clip(bundle.actor.out[0, 0], -0.999, 0.999))
+        new = bundle.act(np.zeros(40))
+        assert type(new) is float
+        assert np.float64(new).tobytes() == np.float64(old).tobytes()
 
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(ModelError):

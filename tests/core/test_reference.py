@@ -28,7 +28,7 @@ class TestPolicyStructure:
 
     def test_action_decreases_with_delay(self):
         ref = self.make(cwnd=60.0)
-        ref._rtt_samples = [(0.0, 0.030)]
+        ref.rtt_floor.push(0.0, 0.030)
         actions = [self.action_at(ref, rtt, cwnd=60.0)
                    for rtt in (0.030, 0.0315, 0.033, 0.040, 0.080)]
         assert all(a >= b for a, b in zip(actions, actions[1:]))
@@ -40,7 +40,7 @@ class TestPolicyStructure:
 
         def equilibrium_delay(cwnd):
             ref = self.make(cwnd)
-            ref._rtt_samples = [(0.0, 0.030)]
+            ref.rtt_floor.push(0.0, 0.030)
             for rtt in np.linspace(0.030, 0.120, 200):
                 if self.action_at(ref, rtt, cwnd=cwnd) <= 0.0:
                     return rtt
@@ -59,7 +59,7 @@ class TestPolicyStructure:
 
     def test_bufferbloat_guard(self):
         ref = self.make()
-        ref._rtt_samples = [(0.0, 0.030)]
+        ref.rtt_floor.push(0.0, 0.030)
         assert self.action_at(ref, 0.30) <= -0.5
 
     def test_periodic_drain(self):

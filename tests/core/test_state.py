@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import LinkConfig
+from repro.core import state as state_mod
 from repro.core.state import (
     GLOBAL_FEATURES,
     LOCAL_FEATURES,
@@ -17,7 +18,12 @@ from repro.core.state import (
 )
 from repro.errors import ModelError
 from repro.netsim.stats import MtpStats
+from repro.units import pps_to_mbps
 from tests.cc.test_base import make_stats
+
+# Values at which a scalar clip could part from np.clip bit for bit.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+               float("nan")]
 
 
 class TestLocalFeatures:
@@ -53,6 +59,48 @@ class TestLocalFeatures:
         assert np.all(vec >= 0.0)
         assert np.all(vec <= 6.0)
         assert np.all(np.isfinite(vec))
+
+
+def numpy_local_feature_vector(stats, thr_max_pps, lat_min_s):
+    """The feature vector as computed before the scalar clips: one
+    ``np.clip`` over the whole array."""
+    thr_max = max(thr_max_pps, 1e-6)
+    lat_min = max(lat_min_s, 1e-6)
+    bdp_est = max(thr_max * lat_min, 1e-6)
+    features = np.array([
+        stats.throughput_pps / thr_max,
+        pps_to_mbps(thr_max) / state_mod._THR_MAX_SCALE_MBPS,
+        stats.avg_rtt_s / lat_min,
+        lat_min / state_mod._LAT_SCALE_S,
+        stats.cwnd_pkts / bdp_est,
+        stats.loss_pps / thr_max,
+        stats.pkts_in_flight / max(stats.cwnd_pkts, 1.0),
+        stats.pacing_pps / thr_max,
+    ])
+    return np.clip(features, 0.0, state_mod._RATIO_CLIP)
+
+
+class TestScalarClipBitIdentity:
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("field", [
+        "throughput_pps", "avg_rtt_s", "cwnd_pkts", "lost_pkts",
+        "pkts_in_flight", "pacing_pps"])
+    def test_stats_field_edges(self, field, value):
+        stats = make_stats(**{field: value})
+        new = local_feature_vector(stats, thr_max_pps=1000.0,
+                                   lat_min_s=0.03)
+        old = numpy_local_feature_vector(stats, 1000.0, 0.03)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_running_extreme_edges(self, value):
+        stats = make_stats(throughput_pps=value, avg_rtt_s=value)
+        for thr_max, lat_min in ((value, 0.03), (1000.0, value),
+                                 (value, value)):
+            new = local_feature_vector(stats, thr_max, lat_min)
+            old = numpy_local_feature_vector(stats, thr_max, lat_min)
+            assert new.tobytes() == old.tobytes()
 
 
 class TestLocalStateBlock:

@@ -110,7 +110,7 @@ class TestRunFleet:
         for record in serial_result.shards:
             assert record["ok"]
             assert set(record["stats"]) == {
-                "count", "total", "sum_sq", "capacity", "batches"}
+                "count", "total", "sum_sq", "peak", "capacity", "batches"}
             assert len(record["epoch_goodput_mbps"]) == \
                 serial_result.spec.epochs
             assert record["shard_seed"] == \

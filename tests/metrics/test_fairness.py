@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -94,6 +94,7 @@ class TestFairnessAccumulator:
         acc = FairnessAccumulator().add([3.0, 4.0], capacity=10.0)
         clone = FairnessAccumulator.from_dict(acc.as_dict())
         assert clone == acc
+        assert acc.as_dict()["peak"] == 4.0
         with pytest.raises(ConfigError):
             FairnessAccumulator.from_dict({"count": 1})
 
@@ -113,6 +114,11 @@ class TestFairnessAccumulator:
            cuts=st.lists(st.integers(min_value=0, max_value=1000),
                          min_size=0, max_size=5),
            cap=st.floats(min_value=1.0, max_value=1e6))
+    # Raw squares underflow (subnormal peak) or overflow (1e300): the
+    # peak-scaled sums must still give the true index.
+    @example(xs=[0.0, 5.49e-216], cuts=[], cap=1.0)
+    @example(xs=[0.0, 5.49e-216], cuts=[1], cap=1.0)
+    @example(xs=[1e300, 5e299], cuts=[1], cap=1.0)
     def test_property_merge_equals_monolithic(self, xs, cuts, cap):
         parts = _partition(xs, cuts)
         per_flow_cap = cap / len(xs)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.config import LinkConfig
 from repro.errors import SimulationError
 from repro.netsim import FluidNetwork
+from repro.netsim.fluid import MIN_CWND_PKTS
 from repro.netsim.traces import StepTrace
 from repro.units import mbps_to_pps, pps_to_mbps
 
@@ -241,13 +242,27 @@ class TestValidation:
     def test_rejects_nonfinite_cwnd(self):
         net, _ = make_net()
         f = net.add_flow(base_rtt_s=0.03)
-        with pytest.raises(SimulationError):
-            net.set_cwnd(f, float("nan"))
+        for value in (float("nan"), float("inf"), float("-inf"),
+                      np.float64("nan"), np.float64("inf")):
+            with pytest.raises(SimulationError):
+                net.set_cwnd(f, value)
 
     def test_rejects_duplicate_link_names(self):
         link = LinkConfig(name="x")
         with pytest.raises(SimulationError):
             FluidNetwork([link, link])
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.999, 2.0, 37.5, 1e9, 2e9,
+        1e300, -1e300, np.float64(1e300), np.float32(3.5)])
+    def test_cwnd_clip_bit_identical_to_numpy(self, value):
+        net, _ = make_net()
+        f = net.add_flow(base_rtt_s=0.03)
+        net.set_cwnd(f, value)
+        old = float(np.clip(value, MIN_CWND_PKTS, 1e9))
+        assert type(net.cwnd(f)) is float
+        assert np.float64(net.cwnd(f)).tobytes() == \
+            np.float64(old).tobytes()
 
     def test_min_cwnd_floor(self):
         net, _ = make_net()
